@@ -6,10 +6,10 @@
    2. runs Bechamel microbenchmarks of the simulator's hot paths.
 
    3. with --scale, runs ONLY the n-sweep scaling bench (ns/event,
-      events/s and minor-words/event at n in {64 .. 4096} under both
-      schedulers, plus a wheel-only large tier up to n = 1M with engine
-      footprints; see bench/scale.ml) so CI can smoke it without the
-      full suite. --repeat K reports the median of K timed runs per row.
+      events/s and minor-words/event at n in {64 .. 4096}, plus a large
+      tier up to n = 1M with engine footprints; see bench/scale.ml) so
+      CI can smoke it without the full suite. --repeat K reports the
+      median of K timed runs per row.
 
    Usage: dune exec bench/main.exe [-- --quick] [-- --skip-micro]
           dune exec bench/main.exe -- --only E4
@@ -139,20 +139,23 @@ open Toolkit
 (* The queue is created and sized once, OUTSIDE the staged closure, and
    fully drained each run: the benchmark measures steady-state push/pop,
    not [create] (a fresh queue per run used to dominate the number). *)
-let bench_pqueue_n ~name ~elems =
-  let q = Dsim.Pqueue.create ~capacity:(2 * elems) () in
+let bench_equeue_n ~name ~elems =
+  let q = Dsim.Equeue.create ~capacity:(2 * elems) () in
+  let payload = Obj.repr () in
   Test.make ~name
     (Staged.stage (fun () ->
          for i = 0 to elems - 1 do
-           Dsim.Pqueue.push q ~time:(float_of_int ((i * 7919) mod elems)) i
+           Dsim.Equeue.push q ~time:(float_of_int ((i * 7919) mod elems)) ~seq:i
+             ~kind:0 ~a:i ~b:0 ~c:0 ~d:0 payload
          done;
-         while not (Dsim.Pqueue.is_empty q) do
-           ignore (Dsim.Pqueue.pop q)
+         while not (Dsim.Equeue.is_empty q) do
+           Dsim.Equeue.pop q;
+           Dsim.Equeue.release q
          done))
 
-let bench_pqueue = bench_pqueue_n ~name:"pqueue push+pop x100" ~elems:100
+let bench_equeue = bench_equeue_n ~name:"equeue push+pop x100" ~elems:100
 
-let bench_pqueue_10k = bench_pqueue_n ~name:"pqueue push+pop x10k" ~elems:10_000
+let bench_equeue_10k = bench_equeue_n ~name:"equeue push+pop x10k" ~elems:10_000
 
 let bench_trace_record =
   (* Counters-only trace: the hot-path configuration of every experiment. *)
@@ -274,7 +277,7 @@ let bench_weighted_diameter =
 
 let microbenches =
   [
-    bench_pqueue; bench_pqueue_10k; bench_trace_record; bench_prng; bench_clock_value;
+    bench_equeue; bench_equeue_10k; bench_trace_record; bench_prng; bench_clock_value;
     bench_params_b;
     bench_hetero_tolerance; bench_global_skew; bench_local_skew; bench_simulation;
     bench_simulation_faults; bench_flexible_distance; bench_weighted_diameter;

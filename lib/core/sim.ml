@@ -8,9 +8,7 @@ let algo_to_string = function
   | Flat_gradient -> "flat-gradient"
   | Max_only -> "max-only"
 
-type scheduler = Heap | Wheel
-
-let scheduler_to_string = function Heap -> "heap" | Wheel -> "wheel"
+type scheduler = Wheel
 
 type config = {
   params : Params.t;
@@ -20,16 +18,15 @@ type config = {
   initial_edges : (int * int) list;
   algo : algo;
   trace : Dsim.Trace.t option;
-  scheduler : scheduler;
   shards : int;
   partition : [ `Contiguous | `Greedy | `Explicit of int array ];
   faults : Dsim.Fault.schedule;
   fault_seed : int;
 }
 
-let config ?(algo = Gradient) ?discovery_lag ?trace ?(scheduler = Wheel)
-    ?(shards = 1) ?(partition = `Contiguous) ?(faults = []) ?(fault_seed = 0)
-    ~params ~clocks ~delay ~initial_edges () =
+let config ?(algo = Gradient) ?discovery_lag ?trace
+    ?scheduler:(_ : scheduler option) ?(shards = 1) ?(partition = `Contiguous)
+    ?(faults = []) ?(fault_seed = 0) ~params ~clocks ~delay ~initial_edges () =
   let discovery_lag =
     match discovery_lag with
     | Some lag -> lag
@@ -50,8 +47,8 @@ let config ?(algo = Gradient) ?discovery_lag ?trace ?(scheduler = Wheel)
   | Ok () -> ()
   | Error m -> invalid_arg ("Sim.config: " ^ m));
   if shards < 1 then invalid_arg "Sim.config: shards must be positive";
-  { params; clocks; delay; discovery_lag; initial_edges; algo; trace; scheduler;
-    shards; partition; faults; fault_seed }
+  { params; clocks; delay; discovery_lag; initial_edges; algo; trace; shards;
+    partition; faults; fault_seed }
 
 type impl = Gradient_node of Node.t | Max_node of Baseline_max.t
 
@@ -62,14 +59,6 @@ type t = {
 }
 
 let create cfg =
-  let scheduler =
-    match cfg.scheduler with
-    | Heap -> `Heap
-    (* Level-0 buckets a fraction of the shortest timer period (ΔH), so
-       consecutive ticks land in distinct granules and the cursor does a
-       handful of cheap slot scans per fire. *)
-    | Wheel -> `Wheel (cfg.params.Params.delta_h /. 16.)
-  in
   (* Byzantine corruption lies *upward*: for a max-propagation family the
      damaging direction is inflating ⟨L, Lmax⟩, which drags every honest
      neighbour's estimates (and hence clocks) ahead. The lie is scaled to
@@ -90,7 +79,7 @@ let create cfg =
     Engine.create ~clocks:cfg.clocks ~delay:cfg.delay ~discovery_lag:cfg.discovery_lag
       ~initial_edges:cfg.initial_edges ?trace:cfg.trace
       ~faults:cfg.faults ~fault_seed:cfg.fault_seed ~corrupt_msg
-      ~timer_label:Proto.timer_label ~scheduler ~shards:cfg.shards
+      ~timer_label:Proto.timer_label ~shards:cfg.shards
       ~partition:cfg.partition ()
   in
   let n = cfg.params.Params.n in

@@ -9,7 +9,7 @@
      k_discover_rm     node   peer     epoch
      k_absence         node   peer
      k_deliver         src    dst      epoch  inc    'msg
-     k_timer           node   gen                    'timer (heap mode)
+     k_timer           node   gen                    'timer
      k_crash           node
      k_restart         node   corrupt
      k_callback                                      unit -> unit
@@ -127,56 +127,13 @@ module Iset = struct
     end
 end
 
-(* One node's armed timers under the wheel scheduler, sorted by encoded
-   label: the live generation plus the ['timer] value to hand back to
-   [on_timer] when the wheel entry surfaces. Values are [Obj.t] so a
-   retired slot can be reset to a sentinel, exactly as in [Equeue]; the
-   casts never escape: every stored value is a ['timer] of the owning
-   engine and slots at or beyond [len] always hold [dummy]. *)
-module Armed = struct
-  type t = {
-    mutable labels : int array;
-    mutable gens : int array;
-    mutable vals : Obj.t array;
-    mutable len : int;
-  }
-
-  let dummy : Obj.t = Obj.repr ()
-
-  let create () = { labels = [||]; gens = [||]; vals = [||]; len = 0 }
-
-  let find s label = bfind s.labels s.len label
-
-  let insert s ~at label gen v =
-    if s.len >= Array.length s.labels then begin
-      let cap = max 4 (2 * Array.length s.labels) in
-      let ls = Array.make cap 0
-      and gs = Array.make cap 0
-      and vs = Array.make cap dummy in
-      Array.blit s.labels 0 ls 0 s.len;
-      Array.blit s.gens 0 gs 0 s.len;
-      Array.blit s.vals 0 vs 0 s.len;
-      s.labels <- ls;
-      s.gens <- gs;
-      s.vals <- vs
-    end;
-    let tail = s.len - at in
-    Array.blit s.labels at s.labels (at + 1) tail;
-    Array.blit s.gens at s.gens (at + 1) tail;
-    Array.blit s.vals at s.vals (at + 1) tail;
-    s.labels.(at) <- label;
-    s.gens.(at) <- gen;
-    s.vals.(at) <- v;
-    s.len <- s.len + 1
-
-  let remove_at s i =
-    let tail = s.len - i - 1 in
-    Array.blit s.labels (i + 1) s.labels i tail;
-    Array.blit s.gens (i + 1) s.gens i tail;
-    Array.blit s.vals (i + 1) s.vals i tail;
-    s.len <- s.len - 1;
-    s.vals.(s.len) <- dummy
-end
+(* The generation of a timer label's live queue entry, or [-1] while the
+   label is disarmed (fired, cancelled or purged by a crash). A node's
+   table keeps one cell per label it ever armed and mutates it in place,
+   so the steady arm / re-arm / cancel / fire cycle allocates nothing;
+   the table stays O(labels ever armed), one Tick plus one Lost per peer
+   for the gradient algorithm. *)
+type live = { mutable gen : int }
 
 (* Cross-shard mailbox: events a lane creates for nodes another lane owns
    during a parallel dispatch window. Only the owning lane's domain
@@ -263,14 +220,13 @@ module Outbox = struct
   let footprint_words ob = 9 * Array.length ob.dst
 end
 
-type sched = Heap | Wheel
-
 (* Live fault-injection state. Allocated only when the engine was created
    with a non-empty schedule, so the no-fault hot path pays exactly one
    option-tag check per send/delivery. The PRNG drives every fault-local
    draw (duplicate delays, Byzantine corruption, restart-state
    corruption); draws happen in dispatch/send order, which is identical
-   under both schedulers, so fault schedules replay byte-identically. *)
+   at every shard and domain count, so fault schedules replay
+   byte-identically. *)
 type fault_state = {
   ops : Fault.schedule;
   fprng : Prng.t;
@@ -310,8 +266,8 @@ type tb_scratch = {
    provisional rank to the exact dense rank the sequential run would
    have assigned, so the (time, seq) order — and the trace — stays
    byte-identical at every shard and domain count (DESIGN §14). The
-   numeric constants live in [Equeue] so the queue and wheel can count
-   provisional entries for their batch remaps. *)
+   numeric constants live in [Equeue] so the queue can count provisional
+   entries for its batch remap. *)
 let prov_flag = Equeue.prov_flag
 
 let cre_mask = Equeue.cre_mask
@@ -381,7 +337,7 @@ type ('msg, 'timer) t = {
      a contiguous split, the traffic-aware greedy partitioner or an
      explicit caller array ([[||]] at one shard; nodes joining after
      construction land in the last shard). Each shard owns an event
-     queue, an outbox and — under the wheel scheduler — a timer wheel.
+     queue — armed timers included — and an outbox.
      Sequentially-created events draw ranks from one global sequence
      counter; window-created events get provisional block ranks that the
      barrier rewrites to the exact sequential ranks, so the (time, seq)
@@ -398,18 +354,14 @@ type ('msg, 'timer) t = {
          to final ranks, pending dispatch by the destination lane inside
          the still-open window; drained into the real queues at the
          barrier *)
-  wheels : Timewheel.t array; (* per shard; empty under Heap *)
   lanes : lane array; (* per shard *)
   control : Equeue.t; (* order-sensitive global events; empty at shards=1 *)
   trace : Trace.t;
   mutable handlers : ('msg, 'timer) handlers option array;
   timer_label : ('timer -> int) option;
-      (* Encodes a label for Timer_fire/Timer_stale trace records; the
-         wheel scheduler additionally keys its dense tables by it. *)
-  sched : sched;
-  mutable timers : ('timer, int) Hashtbl.t array;
-      (* heap mode: label -> live generation *)
-  mutable armed : Armed.t array; (* wheel mode: per-node armed-label table *)
+      (* Encodes a label for Timer_fire/Timer_stale trace records. *)
+  mutable timers : ('timer, live) Hashtbl.t array;
+      (* node -> timer label -> generation of its live queue entry *)
   mutable absence_pending : Iset.t array;
       (* node -> peers with a pending absence notice *)
   mutable fifo : Fifo_store.t array; (* src -> per-destination delivery floors *)
@@ -423,7 +375,6 @@ type ('msg, 'timer) t = {
   (* Merge-loop candidate (scratch fields, not refs: allocation-free). *)
   mutable cand_seq : int;
   mutable cand_shard : int;
-  mutable cand_wheel : bool;
   mutable cand_ctrl : bool;
   (* Parallel-window eligibility, fixed at creation: several shards, a
      pure delay policy with positive lookahead, no fault injection and no
@@ -457,7 +408,7 @@ type ('msg, 'timer) t = {
   mutable tie_break : (int -> int) option;
       (* Adversary hook: given the size k of the same-instant event group
          at the queue head, returns the index (in seq order) of the event
-         to dispatch next. Heap scheduler + single shard only. *)
+         to dispatch next. Single shard only. *)
   tb : tb_scratch;
 }
 
@@ -695,7 +646,7 @@ let partition ?prev ?(threshold = 0.1) ~shards g =
 let greedy_partition ~shards g = partition ~shards g
 
 let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
-    ?timer_label ?(scheduler = `Heap) ?(shards = 1)
+    ?timer_label ?(shards = 1)
     ?(partition = `Contiguous) ?(faults = []) ?(fault_seed = 0) ?corrupt_msg
     () =
   let n = Array.length clocks in
@@ -716,14 +667,6 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
           f_alive = Array.make n true;
           f_inc = Array.make n 0;
         }
-  in
-  let sched, granularity =
-    match scheduler with
-    | `Heap -> (Heap, 0.)
-    | `Wheel granularity ->
-      if timer_label = None then
-        invalid_arg "Engine.create: the wheel scheduler needs ~timer_label";
-      (Wheel, granularity)
   in
   let qcap = max 64 (8 * n / shards) in
   let tr = match trace with Some tr -> tr | None -> Trace.create () in
@@ -791,24 +734,12 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       queues = Array.init shards (fun _ -> Equeue.create ~capacity:qcap ());
       outboxes = Array.init shards (fun _ -> Outbox.create ());
       inboxes = Array.init shards (fun _ -> Equeue.create ~capacity:16 ());
-      wheels =
-        (match sched with
-        | Heap -> [||]
-        | Wheel -> Array.init shards (fun _ -> Timewheel.create ~granularity ()));
       lanes;
       control = Equeue.create ~capacity:64 ();
       trace = tr;
       handlers = Array.make n None;
       timer_label;
-      sched;
-      timers =
-        (match sched with
-        | Heap -> Array.init n (fun _ -> Hashtbl.create 8)
-        | Wheel -> [||]);
-      armed =
-        (match sched with
-        | Heap -> [||]
-        | Wheel -> Array.init n (fun _ -> Armed.create ()));
+      timers = Array.init n (fun _ -> Hashtbl.create 8);
       absence_pending = Array.init n (fun _ -> Iset.create ());
       fifo = Array.init n (fun _ -> Fifo_store.create ());
       gens = Array.make n 0;
@@ -818,7 +749,6 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
       ctrl_events = 0;
       cand_seq = max_int;
       cand_shard = -1;
-      cand_wheel = false;
       cand_ctrl = false;
       par_ok =
         shards > 1 && delay.Delay.pure
@@ -864,8 +794,8 @@ let create ~clocks ~delay ?(discovery_lag = 0.) ?(initial_edges = []) ?trace
         no_payload)
     fresh_edges;
   (* Crash/restart ops flow through the shared queues as first-class
-     events: both schedulers pop them at identical (time, seq) ranks, so
-     fault timing can never desynchronize the heap and wheel traces. *)
+     events at ordinary (time, seq) ranks, so fault timing is part of the
+     same total order as everything else. *)
   List.iter
     (fun op ->
       match op with
@@ -903,9 +833,7 @@ let ensure_nodes t n' =
     let gens' = Array.make cap' 0 in
     Array.blit t.gens 0 gens' 0 cap;
     t.gens <- gens';
-    (match t.sched with
-    | Heap -> t.timers <- grow_make t.timers (fun () -> Hashtbl.create 8)
-    | Wheel -> t.armed <- grow_make t.armed Armed.create);
+    t.timers <- grow_make t.timers (fun () -> Hashtbl.create 8);
     match t.faults with
     | None -> ()
     | Some f ->
@@ -1102,67 +1030,28 @@ let set_timer ctx ~after timer =
   let deadline = Hwclock.inverse clock (Hwclock.value clock now +. after) in
   let gen = t.gens.(ctx.id) in
   t.gens.(ctx.id) <- gen + 1;
-  (* A re-arm supersedes the pending entry: its heap or wheel slot goes
-     stale and will be discarded when it surfaces; the live count is
-     unchanged. *)
-  match t.sched with
-  | Heap ->
-    if Hashtbl.mem t.timers.(ctx.id) timer then
-      lane.lstale <- lane.lstale + 1
+  (* A re-arm supersedes the pending entry: it goes stale and is
+     discarded when it surfaces; the live count is unchanged. *)
+  let tbl = t.timers.(ctx.id) in
+  (match Hashtbl.find tbl timer with
+  | cell ->
+    if cell.gen >= 0 then lane.lstale <- lane.lstale + 1
     else lane.llive <- lane.llive + 1;
-    Hashtbl.replace t.timers.(ctx.id) timer gen;
-    push_from t lane ~owner:ctx.id ~time:deadline ~kind:k_timer ~a:ctx.id
-      ~b:gen ~c:0 ~d:0 (Obj.repr timer)
-  | Wheel ->
-    let label = trace_label t timer in
-    let s = t.armed.(ctx.id) in
-    let i = Armed.find s label in
-    if i >= 0 then begin
-      lane.lstale <- lane.lstale + 1;
-      s.Armed.gens.(i) <- gen;
-      s.Armed.vals.(i) <- Obj.repr timer
-    end
-    else begin
-      lane.llive <- lane.llive + 1;
-      Armed.insert s ~at:(lnot i) label gen (Obj.repr timer)
-    end;
-    (* The tie-break rank comes from the engine's global counter (or the
-       lane's provisional block inside a window) so wheel timers keep the
-       exact (time, seq) position a queue push would have had. Timers
-       never cross shards: a node only arms its own. *)
-    let seq =
-      if lane.lpar then begin
-        let j = lane.lcre in
-        if j > cre_mask then failwith "Engine: window rank block exhausted";
-        lane.lcre <- j + 1;
-        prov_flag lor (lane.ls lsl 40) lor j
-      end
-      else begin
-        let s = t.next_seq in
-        t.next_seq <- s + 1;
-        s
-      end
-    in
-    Timewheel.arm t.wheels.(lane.ls) ~node:ctx.id ~label ~gen ~seq ~deadline
+    cell.gen <- gen
+  | exception Not_found ->
+    lane.llive <- lane.llive + 1;
+    Hashtbl.add tbl timer { gen });
+  push_from t lane ~owner:ctx.id ~time:deadline ~kind:k_timer ~a:ctx.id ~b:gen
+    ~c:0 ~d:0 (Obj.repr timer)
 
 let cancel_timer ctx timer =
-  let t = ctx.engine in
   let lane = ctx.lane in
-  match t.sched with
-  | Heap ->
-    if Hashtbl.mem t.timers.(ctx.id) timer then begin
-      Hashtbl.remove t.timers.(ctx.id) timer;
-      lane.llive <- lane.llive - 1;
-      lane.lstale <- lane.lstale + 1
-    end
-  | Wheel ->
-    let s = t.armed.(ctx.id) in
-    let i = Armed.find s (trace_label t timer) in
-    if i >= 0 then begin
-      Armed.remove_at s i;
-      lane.llive <- lane.llive - 1;
-      lane.lstale <- lane.lstale + 1
-    end
+  match Hashtbl.find ctx.engine.timers.(ctx.id) timer with
+  | cell when cell.gen >= 0 ->
+    cell.gen <- -1;
+    lane.llive <- lane.llive - 1;
+    lane.lstale <- lane.lstale + 1
+  | _ | (exception Not_found) -> ()
 
 (* Harness-side API --------------------------------------------------- *)
 
@@ -1262,15 +1151,7 @@ let stale_timer_entries t =
   done;
   !acc
 
-let pending_events t =
-  let wheel_entries = ref 0 in
-  (match t.sched with
-  | Heap -> ()
-  | Wheel ->
-    for s = 0 to t.shards - 1 do
-      wheel_entries := !wheel_entries + Timewheel.size t.wheels.(s)
-    done);
-  queue_depth t + !wheel_entries - stale_timer_entries t
+let pending_events t = queue_depth t - stale_timer_entries t
 
 let live_timers t =
   let acc = ref 0 in
@@ -1279,9 +1160,9 @@ let live_timers t =
   done;
   !acc
 
-(* Engine-owned storage in words — queues, outboxes, wheels, per-node
-   tables and the graph. The scaling tests pin this to O(n + live edges);
-   a pair-keyed regression would show up as O(n^2) growth here. *)
+(* Engine-owned storage in words — queues, outboxes, per-node tables and
+   the graph. The scaling tests pin this to O(n + live edges); a
+   pair-keyed regression would show up as O(n^2) growth here. *)
 let footprint_words t =
   let acc = ref (Equeue.footprint_words t.control) in
   for s = 0 to t.shards - 1 do
@@ -1289,22 +1170,14 @@ let footprint_words t =
            + Outbox.footprint_words t.outboxes.(s)
            + Equeue.footprint_words t.inboxes.(s)
   done;
-  (match t.sched with
-  | Heap -> ()
-  | Wheel ->
-    for s = 0 to t.shards - 1 do
-      acc := !acc + Timewheel.footprint_words t.wheels.(s)
-    done);
   for i = 0 to t.n - 1 do
+    (* A timer table: its record and bucket array, then per label one
+       bucket cell and one generation cell. *)
+    let ts = Hashtbl.stats t.timers.(i) in
     acc := !acc + Fifo_store.footprint_words t.fifo.(i)
            + Array.length t.absence_pending.(i).Iset.keys
+           + 6 + ts.Hashtbl.num_buckets + (6 * ts.Hashtbl.num_bindings)
   done;
-  (match t.sched with
-  | Heap -> ()
-  | Wheel ->
-    for i = 0 to t.n - 1 do
-      acc := !acc + (3 * Array.length t.armed.(i).Armed.labels)
-    done);
   !acc + Dyngraph.footprint_words t.graph
 
 (* Event dispatch ----------------------------------------------------- *)
@@ -1319,32 +1192,24 @@ let node_dead t node =
   match t.faults with None -> false | Some f -> not f.f_alive.(node)
 
 (* Crash: the node loses every piece of state it owns inside the engine —
-   armed timers (their heap/wheel slots go stale, surfacing later exactly
-   like cancelled timers do, so both schedulers stay in lockstep) and its
-   outgoing FIFO floors (everything it had in flight is dropped at
-   delivery by the incarnation check, so clearing the floors cannot let a
-   post-restart message overtake a delivery that actually happens). *)
+   armed timers (their queue entries go stale, surfacing later exactly
+   like cancelled timers do) and its outgoing FIFO floors (everything it
+   had in flight is dropped at delivery by the incarnation check, so
+   clearing the floors cannot let a post-restart message overtake a
+   delivery that actually happens). *)
 let apply_crash t f node =
   Trace.record t.trace ~time:t.fs.now Fault_crash node (-1) (-1);
   f.f_alive.(node) <- false;
   f.f_inc.(node) <- f.f_inc.(node) + 1;
   let lane = t.lanes.(shard_of t node) in
-  (match t.sched with
-  | Heap ->
-    let tbl = t.timers.(node) in
-    let k = Hashtbl.length tbl in
-    Hashtbl.reset tbl;
-    lane.llive <- lane.llive - k;
-    lane.lstale <- lane.lstale + k
-  | Wheel ->
-    let s = t.armed.(node) in
-    let k = s.Armed.len in
-    for i = 0 to k - 1 do
-      s.Armed.vals.(i) <- Armed.dummy
-    done;
-    s.Armed.len <- 0;
-    lane.llive <- lane.llive - k;
-    lane.lstale <- lane.lstale + k);
+  Hashtbl.iter
+    (fun _ cell ->
+      if cell.gen >= 0 then begin
+        cell.gen <- -1;
+        lane.llive <- lane.llive - 1;
+        lane.lstale <- lane.lstale + 1
+      end)
+    t.timers.(node);
   t.fifo.(node).Fifo_store.len <- 0
 
 let apply_restart t f node ~corrupt =
@@ -1515,30 +1380,8 @@ let start t =
     done
   end
 
-(* A wheel entry just surfaced: fire it if it still holds the armed
-   generation for its label, otherwise it was superseded or cancelled
-   after being armed — same lazy discard, and at the same instant, as the
-   heap path's stale-slot check, which is what keeps the two schedulers'
-   traces byte-identical. *)
-let wheel_timer t lane ~node ~label ~gen =
-  let now = if lane.lpar then lane.lf.lnow else t.fs.now in
-  let s = t.armed.(node) in
-  let i = Armed.find s label in
-  if i >= 0 && s.Armed.gens.(i) = gen then begin
-    let timer = Obj.obj s.Armed.vals.(i) in
-    Armed.remove_at s i;
-    lane.llive <- lane.llive - 1;
-    lane.levents <- lane.levents + 1;
-    lane_record t lane ~time:now Timer_fire node label (-1);
-    (handlers_of t node).on_timer timer
-  end
-  else begin
-    lane.lstale <- lane.lstale - 1;
-    lane_record t lane ~time:now Timer_stale node label (-1)
-  end
-
-(* A queue event just popped into [q]'s registers. Heap-mode timer
-   entries resolve staleness here — cancelled or superseded slots are
+(* A queue event just popped into [q]'s registers. Timer entries
+   resolve staleness here — cancelled or superseded entries are
    bookkeeping garbage, not events: they don't count as processed and
    never reach a handler. *)
 let run_queue_event t lane q =
@@ -1547,22 +1390,16 @@ let run_queue_event t lane q =
     let now = if lane.lpar then lane.lf.lnow else t.fs.now in
     let node = Equeue.ev_a q and gen = Equeue.ev_b q in
     let timer = Obj.obj (Equeue.ev_payload q) in
-    let stale =
-      match Hashtbl.find t.timers.(node) timer with
-      | live -> live <> gen
-      | exception Not_found -> true
-    in
-    if stale then begin
-      lane.lstale <- lane.lstale - 1;
-      lane_record t lane ~time:now Timer_stale node (trace_label t timer) (-1)
-    end
-    else begin
-      Hashtbl.remove t.timers.(node) timer;
+    match Hashtbl.find t.timers.(node) timer with
+    | cell when cell.gen = gen ->
+      cell.gen <- -1;
       lane.llive <- lane.llive - 1;
       lane.levents <- lane.levents + 1;
       lane_record t lane ~time:now Timer_fire node (trace_label t timer) (-1);
       (handlers_of t node).on_timer timer
-    end
+    | _ ->
+      lane.lstale <- lane.lstale - 1;
+      lane_record t lane ~time:now Timer_stale node (trace_label t timer) (-1)
   end
   else begin
     lane.levents <- lane.levents + 1;
@@ -1571,10 +1408,8 @@ let run_queue_event t lane q =
 
 let set_tie_break t hook =
   (match hook with
-  | Some _ when t.sched <> Heap || t.shards <> 1 ->
-    invalid_arg
-      "Engine.set_tie_break: the hook requires the heap scheduler and a \
-       single shard"
+  | Some _ when t.shards <> 1 ->
+    invalid_arg "Engine.set_tie_break: the hook requires a single shard"
   | _ -> ());
   t.tie_break <- hook
 
@@ -1639,51 +1474,23 @@ let tie_break_pop t q pick =
     tb.tb_payload.(i) <- no_payload
   done
 
-(* Pick the earliest (time, seq) candidate across every shard's queue and
-   wheel — and the control queue — into the [cand_*] scratch fields. The
-   per-shard wheel is only resolved up to its own queue head (or the
-   horizon) — the same lazy bound the single-shard loop used. Each lane's
+(* Pick the earliest (time, seq) candidate across every shard's queue —
+   and the control queue — into the [cand_*] scratch fields. Each lane's
    own earliest time is recorded in [lhead] for the window gate. *)
-let select t ~horizon =
+let select t =
   t.fs.cand_time <- infinity;
   t.cand_seq <- max_int;
   t.cand_shard <- -1;
-  t.cand_wheel <- false;
   t.cand_ctrl <- false;
   for s = 0 to t.shards - 1 do
     let q = t.queues.(s) in
     let qt = Equeue.next_time q in
     let qseq = Equeue.top_seq q in
-    let wheel_wins =
-      match t.sched with
-      | Heap -> false
-      | Wheel ->
-        let w = t.wheels.(s) in
-        let bound = if qt < horizon then qt else horizon in
-        Timewheel.peek w ~upto:bound
-        && (Timewheel.top_time w < qt || Timewheel.top_seq w < qseq)
-    in
-    if wheel_wins then begin
-      let w = t.wheels.(s) in
-      let wt = Timewheel.top_time w and wseq = Timewheel.top_seq w in
-      t.lanes.(s).lf.lhead <- wt;
-      if wt < t.fs.cand_time || (wt = t.fs.cand_time && wseq < t.cand_seq)
-      then begin
-        t.fs.cand_time <- wt;
-        t.cand_seq <- wseq;
-        t.cand_shard <- s;
-        t.cand_wheel <- true
-      end
-    end
-    else begin
-      t.lanes.(s).lf.lhead <- qt;
-      if qt < t.fs.cand_time || (qt = t.fs.cand_time && qseq < t.cand_seq)
-      then begin
-        t.fs.cand_time <- qt;
-        t.cand_seq <- qseq;
-        t.cand_shard <- s;
-        t.cand_wheel <- false
-      end
+    t.lanes.(s).lf.lhead <- qt;
+    if qt < t.fs.cand_time || (qt = t.fs.cand_time && qseq < t.cand_seq) then begin
+      t.fs.cand_time <- qt;
+      t.cand_seq <- qseq;
+      t.cand_shard <- s
     end
   done;
   if t.shards > 1 then begin
@@ -1694,7 +1501,6 @@ let select t ~horizon =
       t.fs.cand_time <- ct;
       t.cand_seq <- cseq;
       t.cand_shard <- -1;
-      t.cand_wheel <- false;
       t.cand_ctrl <- true
     end
   end
@@ -1716,29 +1522,18 @@ let seq_step t =
   end
   else begin
     let s = t.cand_shard in
-    let lane = t.lanes.(s) in
-    if t.cand_wheel then begin
-      let w = t.wheels.(s) in
-      let node = Timewheel.top_node w
-      and label = Timewheel.top_label w
-      and gen = Timewheel.top_gen w in
-      Timewheel.pop w;
-      wheel_timer t lane ~node ~label ~gen
-    end
-    else begin
-      let q = t.queues.(s) in
-      (match t.tie_break with
-      | Some pick -> tie_break_pop t q pick
-      | None -> ());
-      Equeue.pop q;
-      run_queue_event t lane q;
-      Equeue.release q
-    end
+    let q = t.queues.(s) in
+    (match t.tie_break with
+    | Some pick -> tie_break_pop t q pick
+    | None -> ());
+    Equeue.pop q;
+    run_queue_event t t.lanes.(s) q;
+    Equeue.release q
   end
 
 (* One lane's share of a parallel dispatch window: drain the lane's own
-   queue and wheel strictly below the window end (and at most to the
-   horizon), logging one mark per dispatch. Runs on its own domain; it
+   queue strictly below the window end (and at most to the horizon),
+   logging one mark per dispatch. Runs on its own domain; it
    only touches lane-owned state, performs pure reads of the graph and
    clocks, and routes cross-lane creations through the lane's outbox. *)
 let lane_window_loop t lane ~wstop ~horizon =
@@ -1753,15 +1548,6 @@ let lane_window_loop t lane ~wstop ~horizon =
       continue_ := false
     else begin
       let qt = Equeue.next_time q in
-      let wheel_wins =
-        match t.sched with
-        | Heap -> false
-        | Wheel ->
-          let w = t.wheels.(s) in
-          let bound = Float.min qt (Float.min wstop horizon) in
-          Timewheel.peek w ~upto:bound
-          && (Timewheel.top_time w < qt || Timewheel.top_seq w < Equeue.top_seq q)
-      in
       let ibt = Equeue.next_time ib in
       let inbox_wins =
         (* Relayed cross-shard events carry final ranks; an exact-time
@@ -1770,16 +1556,10 @@ let lane_window_loop t lane ~wstop ~horizon =
            to the inbox otherwise — an unmerged creation postdates the
            relay that ranked the inbox head, so its final rank is
            provably larger. *)
-        let own_t =
-          if wheel_wins then Timewheel.top_time t.wheels.(s) else qt
-        in
-        ibt < own_t
-        || ibt = own_t && ibt < wstop
+        ibt < qt
+        || ibt = qt && ibt < wstop
            &&
-           let own_seq =
-             if wheel_wins then Timewheel.top_seq t.wheels.(s)
-             else Equeue.top_seq q
-           in
+           let own_seq = Equeue.top_seq q in
            let f = Equeue.top_seq ib in
            if own_seq < prov_flag then f < own_seq
            else
@@ -1793,20 +1573,6 @@ let lane_window_loop t lane ~wstop ~horizon =
           lane.lf.lnow <- ibt;
           run_queue_event t lane ib;
           Equeue.release ib
-        end
-        else continue_ := false
-      end
-      else if wheel_wins then begin
-        let w = t.wheels.(s) in
-        let et = Timewheel.top_time w in
-        if et < wstop && et <= horizon then begin
-          let node = Timewheel.top_node w
-          and label = Timewheel.top_label w
-          and gen = Timewheel.top_gen w in
-          lane_mark lane ~time:et ~seq:(Timewheel.top_seq w);
-          Timewheel.pop w;
-          lane.lf.lnow <- et;
-          wheel_timer t lane ~node ~label ~gen
         end
         else continue_ := false
       end
@@ -1838,8 +1604,7 @@ let lane_window_loop t lane ~wstop ~horizon =
    run's creations take a contiguous block of final ranks in one pass
    and its trace entries replay in one sweep. With few, large windows
    (adaptive extension) most of a window's marks fall in a handful of
-   runs, which is what makes the barrier cheap. Returns the number of
-   marks merged. *)
+   runs, which is what makes the barrier cheap. *)
 let barrier_merge t =
   let k = t.w_mn in
   let members = t.w_members in
@@ -1859,7 +1624,6 @@ let barrier_merge t =
   let resolve lane seq =
     if seq >= prov_flag then lane.lfinal.(seq land cre_mask) else seq
   in
-  let merged = ref 0 in
   let running = ref true in
   while !running do
     let best = ref (-1) in
@@ -1918,11 +1682,9 @@ let barrier_merge t =
             lane.ba.(e) lane.bb.(e) lane.bc.(e)
         done
       end;
-      merged := !merged + (hend - h0);
       heads.(x) <- hend
     end
-  done;
-  !merged
+  done
 
 (* Mid-group relay (DESIGN §14): deliver pending cross-shard events
    without closing the window group. At a round boundary every logged
@@ -1931,16 +1693,15 @@ let barrier_merge t =
    consume the members' full dispatch logs — assigning every creation so
    far its exact final rank — after which each outbox entry's
    provisional rank resolves and the entry can be flushed into the
-   destination shard's inbox. The group then keeps extending: queues and
-   wheels keep their provisional ranks (the eventual barrier still
-   remaps them), consumed logs reset, and [lmerged] records how far the
+   destination shard's inbox. The group then keeps extending: queues
+   keep their provisional ranks (the eventual barrier still remaps
+   them), consumed logs reset, and [lmerged] records how far the
    final-rank table is valid so the dispatch loop can break exact-time
    ties between an inbox head and a provisional head. Successive relays
    are time-monotone (round r+1's marks all lie at or beyond round r's
-   stop), so ranks and replayed trace entries stay in global order.
-   Returns the number of marks merged. *)
+   stop), so ranks and replayed trace entries stay in global order. *)
 let relay t =
-  let merged = barrier_merge t in
+  barrier_merge t;
   for x = 0 to t.w_mn - 1 do
     let lane = t.w_members.(x) in
     lane.lmerged <- lane.lcre;
@@ -1956,34 +1717,19 @@ let relay t =
       done;
       Outbox.flush ob t.inboxes
     end
-  done;
-  merged
+  done
 
-(* A lane's earliest pending time, mirroring [select]'s per-shard logic
-   (wheel resolved lazily up to the queue head or the horizon) plus the
-   lane's inbox. Used to refresh lanes' [lhead] between the rounds of a
-   window group — lanes that are neither members nor relay destinations
-   keep the value [select] computed, which stays valid because nothing
-   is pushed to them while the group runs. *)
-let shard_head t s ~horizon =
-  let q = t.queues.(s) in
-  let qt = Equeue.next_time q in
-  let own =
-    match t.sched with
-    | Heap -> qt
-    | Wheel ->
-      let w = t.wheels.(s) in
-      let bound = if qt < horizon then qt else horizon in
-      if Timewheel.peek w ~upto:bound && Timewheel.top_time w < qt then
-        Timewheel.top_time w
-      else qt
-  in
-  let ib = Equeue.next_time t.inboxes.(s) in
-  if ib < own then ib else own
+(* A lane's earliest pending time: its queue head or its inbox head.
+   Used to refresh lanes' [lhead] between the rounds of a window group —
+   lanes that are neither members nor relay destinations keep the value
+   [select] computed, which stays valid because nothing is pushed to
+   them while the group runs. *)
+let shard_head t s =
+  Float.min (Equeue.next_time t.queues.(s)) (Equeue.next_time t.inboxes.(s))
 
 (* Run one window group — one or more dispatch rounds under a single
    merge barrier — then merge: rewrite every provisional rank (queues,
-   wheels, outboxes) to its final rank, flush the outboxes, fold the
+   outboxes) to its final rank, flush the outboxes, fold the
    buffered counters and deltas, and reset the lanes. After the barrier
    the engine state is exactly what the sequential loop would have
    produced at this point.
@@ -2018,7 +1764,9 @@ let run_window t ~wstop ~horizon =
   | _ -> ());
   let round_start = ref t.fs.cand_time in
   let round_stop = ref wstop in
-  let merged_acc = ref 0 in
+  (* Dispatches only: the merged marks also cover stale timer entries,
+     which are not events. *)
+  let events0 = events_processed t in
   let rounds = ref true in
   while !rounds do
     (* Collect the lanes with work strictly below the round stop; lanes
@@ -2055,7 +1803,7 @@ let run_window t ~wstop ~horizon =
     for x = 0 to t.w_mn - 1 do
       if t.outboxes.(t.w_members.(x).ls).Outbox.len > 0 then have_ob := true
     done;
-    if !have_ob then merged_acc := !merged_acc + relay t;
+    if !have_ob then relay t;
     (* Earliest pending event across all lanes vs. the next control
        event: members' heads moved, and a relay may have landed work on
        a lane that was idle until now. *)
@@ -2063,7 +1811,7 @@ let run_window t ~wstop ~horizon =
     for s = 0 to t.shards - 1 do
       let lane = t.lanes.(s) in
       if t.w_member.(s) || Equeue.size t.inboxes.(s) > 0 then
-        lane.lf.lhead <- shard_head t s ~horizon;
+        lane.lf.lhead <- shard_head t s;
       if lane.lf.lhead < !e then e := lane.lf.lhead
     done;
     let limit = Equeue.next_time t.control in
@@ -2079,14 +1827,11 @@ let run_window t ~wstop ~horizon =
     end
     else rounds := false
   done;
-  let merged = !merged_acc + barrier_merge t in
-  Trace.note_barrier tr ~events:merged;
+  barrier_merge t;
+  Trace.note_barrier tr ~events:(events_processed t - events0);
   for x = 0 to t.w_mn - 1 do
     let lane = t.w_members.(x) in
     Equeue.remap_batch t.queues.(lane.ls) ~finals:lane.lfinal;
-    (match t.sched with
-    | Heap -> ()
-    | Wheel -> Timewheel.remap_batch t.wheels.(lane.ls) ~finals:lane.lfinal);
     let ob = t.outboxes.(lane.ls) in
     if ob.Outbox.len > 0 then begin
       Trace.note_cross tr ob.Outbox.len;
@@ -2141,7 +1886,7 @@ let run_until t horizon =
   start t;
   let running = ref true in
   while !running do
-    select t ~horizon;
+    select t;
     if t.fs.cand_time <= horizon then begin
       assert (t.fs.cand_time >= t.fs.now);
       if t.par_ok && not t.cand_ctrl then begin

@@ -50,7 +50,6 @@ val create :
   ?initial_edges:(int * int) list ->
   ?trace:Trace.t ->
   ?timer_label:('timer -> int) ->
-  ?scheduler:[ `Heap | `Wheel of float ] ->
   ?shards:int ->
   ?partition:[ `Contiguous | `Greedy | `Explicit of int array ] ->
   ?faults:Fault.schedule ->
@@ -69,21 +68,14 @@ val create :
     they record [-1]). Distinct labels of one node must encode to
     distinct ints.
 
-    [scheduler] picks where armed timers wait (default [`Heap], timers
-    share the event heap). [`Wheel granularity] keeps them in a
-    hierarchical timer wheel with [granularity]-sized level-0 buckets
-    instead: O(1) arm/cancel/re-arm in dense int arrays, and superseded
-    entries stop occupying heap slots — the heap then holds only
-    deliveries, discoveries and callbacks, so its size no longer grows
-    with message rate times the timeout span. Requires [timer_label]
-    (raises [Invalid_argument] without it). Both schedulers produce
-    identical executions — same dispatch order, same trace — because
-    wheel entries draw their tie-break ranks from the queue's sequence
-    counter and surface in the same total [(time, seq)] order.
+    Armed timers wait in the event queue like every other event: an arm
+    pushes an entry, and a re-arm or cancel leaves the old entry in
+    place, discarded as stale ({!Trace.Timer_stale}) when it surfaces.
+    The queue therefore holds up to one entry per arm within a timeout
+    span, not one per live timer.
 
     [shards] (default 1) partitions the node ids into that many groups,
-    each owning its own event queue (and, under the wheel scheduler, its
-    own timer wheel). [partition] picks the id-to-shard map:
+    each owning its own event queue. [partition] picks the id-to-shard map:
     [`Contiguous] (the default) splits ids into equal ranges, [`Greedy]
     runs the traffic-aware partitioner {!partition} over the initial
     topology, and [`Explicit p] uses [p] verbatim ([p.(id)] is the
@@ -121,9 +113,9 @@ val create :
     Byzantine windows pass outgoing messages through [corrupt_msg]
     (traced as {!Trace.Fault_byzantine_msg}). All fault-local randomness
     is drawn from a dedicated PRNG seeded by [fault_seed] (default 0) in
-    dispatch order, so fault runs stay byte-identical across both
-    schedulers. An empty schedule allocates no fault state and adds a
-    single tag check to the hot paths. *)
+    dispatch order, so fault runs replay byte-identically. An empty
+    schedule allocates no fault state and adds a single tag check to the
+    hot paths. *)
 
 val install : ('msg, 'timer) t -> int -> (('msg, 'timer) ctx -> ('msg, 'timer) handlers) -> unit
 (** Install node [i]'s algorithm. Must be called for every node before
@@ -242,9 +234,8 @@ val set_tie_break : ('msg, 'timer) t -> (int -> int) option -> unit
     instant join the next group, so an enumerating caller visits every
     permutation of a same-instant group one choice at a time, and a hook
     that always returns 0 reproduces the default (time, seq) order
-    exactly. Only supported under the [`Heap] scheduler with a single
-    shard; setting it on any other configuration raises
-    [Invalid_argument]. *)
+    exactly. Only supported with a single shard; setting it on a sharded
+    engine raises [Invalid_argument]. *)
 
 val events_processed : ('msg, 'timer) t -> int
 (** Events dispatched so far. Stale timer entries (cancelled or
@@ -252,15 +243,15 @@ val events_processed : ('msg, 'timer) t -> int
     {e not} counted. *)
 
 val pending_events : ('msg, 'timer) t -> int
-(** Queued events that will actually dispatch: the heap size (plus the
-    wheel size under the [`Wheel] scheduler) minus the stale timer
-    entries still awaiting lazy removal. *)
+(** Queued events that will actually dispatch: {!queue_depth} minus the
+    stale timer entries still awaiting lazy removal. *)
 
 val queue_depth : ('msg, 'timer) t -> int
-(** Raw size of the event queues (and pending outbox entries) alone.
-    Under the [`Wheel] scheduler this excludes timers entirely, so
-    sustained timer re-arm traffic leaves it bounded by the in-flight
-    message and discovery count. *)
+(** Raw size of the event queues (and pending outbox entries), stale
+    timer entries included. Under sustained re-arm traffic each armed
+    label holds at most one entry per arm within its timeout span, so
+    the depth stays bounded by live timers and in-flight messages times
+    that ratio. *)
 
 val shards : ('msg, 'timer) t -> int
 
@@ -288,8 +279,7 @@ val par_blocker : ('msg, 'timer) t -> string option
 
 val footprint_words : ('msg, 'timer) t -> int
 (** Words currently allocated by engine-owned storage: event queues,
-    outboxes, timer wheels, per-node FIFO/absence/armed tables and the
-    dynamic graph. Grows as O(n + edges ever present), never O(n²) —
+    outboxes, per-node FIFO/absence/timer tables and the dynamic graph. Grows as O(n + edges ever present), never O(n²) —
     pinned by the scaling tests. *)
 
 val live_timers : ('msg, 'timer) t -> int

@@ -1,7 +1,8 @@
 (* Struct-of-arrays event queue: the engine's events, flattened.
 
-   A binary heap ordered by (time, seq) — same contract as [Pqueue] — but
-   holding *encoded* events instead of boxed variant blocks: a kind tag
+   A binary heap ordered by (time, seq), FIFO among equal times through
+   the caller's rank, holding *encoded* events instead of boxed variant
+   blocks: a kind tag
    plus four int operands and one optional boxed payload (the message or
    timer value, which the engine cannot unbox without losing genericity).
    Times live in an off-heap Float64 [Bigarray], so the steady-state

@@ -99,7 +99,8 @@ val note_window : t -> span:float -> unit
 
 val note_barrier : t -> events:int -> unit
 (** One merge barrier paid, having dispatched [events] events across all
-    the windows it closed. *)
+    the windows it closed. Stale timer entries popped inside those
+    windows are not events and are not counted. *)
 
 val note_cross : t -> int -> unit
 (** [n] more events crossed a shard boundary in flight. *)
@@ -112,7 +113,8 @@ val barriers : t -> int
     adaptive extension saved. *)
 
 val window_events : t -> int
-(** Events dispatched inside windows (the rest ran sequentially). *)
+(** Events dispatched inside windows (the rest ran sequentially), so
+    never more than [Engine.events_processed]. *)
 
 val window_span : t -> float
 (** Total simulated time covered by windows. *)

@@ -6,8 +6,7 @@ let () =
     [
       ("prng", Test_prng.suite);
       ("runner", Test_runner.suite);
-      ("pqueue", Test_pqueue.suite);
-      ("timewheel", Test_timewheel.suite);
+      ("equeue", Test_equeue.suite);
       ("hwclock", Test_hwclock.suite);
       ("delay", Test_delay.suite);
       ("dyngraph", Test_dyngraph.suite);

@@ -167,7 +167,7 @@ let test_shrink_keeps_failure () =
 
 (* --------------------- incremental == batch ------------------------ *)
 
-let small_sim ?(n = 3) ?(scheduler = Gcs.Sim.Heap) ?(shards = 1) ?delay () =
+let small_sim ?(n = 3) ?(shards = 1) ?delay () =
   let params = Gcs.Params.make ~n () in
   let rho = params.Gcs.Params.rho in
   let clocks =
@@ -181,8 +181,7 @@ let small_sim ?(n = 3) ?(scheduler = Gcs.Sim.Heap) ?(shards = 1) ?delay () =
   in
   let trace = Trace.create ~log_limit:200_000 () in
   let cfg =
-    Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~scheduler ~shards ~params ~clocks ~delay
-      ~trace
+    Gcs.Sim.config ~algo:Gcs.Sim.Gradient ~shards ~params ~clocks ~delay ~trace
       ~initial_edges:(List.init (n - 1) (fun i -> (i, i + 1)))
       ()
   in
@@ -233,12 +232,7 @@ let test_tie_break_out_of_range_raises () =
     (Invalid_argument "Engine tie-break hook returned an out-of-range choice")
     (fun () -> Gcs.Sim.run_until sim 4.)
 
-let test_tie_break_rejects_wheel_and_shards () =
-  let sim, _, _ = small_sim ~scheduler:Gcs.Sim.Wheel () in
-  (try
-     Dsim.Engine.set_tie_break (Gcs.Sim.engine sim) (Some (fun _ -> 0));
-     Alcotest.fail "wheel scheduler accepted a tie-break hook"
-   with Invalid_argument _ -> ());
+let test_tie_break_rejects_shards () =
   let sim, _, _ = small_sim ~n:4 ~shards:2 () in
   try
     Dsim.Engine.set_tie_break (Gcs.Sim.engine sim) (Some (fun _ -> 0));
@@ -385,8 +379,8 @@ let suite =
       test_tie_break_identity_hook_is_noop;
     Alcotest.test_case "out-of-range tie-break choice raises" `Quick
       test_tie_break_out_of_range_raises;
-    Alcotest.test_case "tie-break hook rejects wheel/shards" `Quick
-      test_tie_break_rejects_wheel_and_shards;
+    Alcotest.test_case "tie-break hook rejects shards" `Quick
+      test_tie_break_rejects_shards;
     Alcotest.test_case "out-of-range delay draws are clamped and traced" `Quick
       test_out_of_range_delay_draw_traced;
     Alcotest.test_case "spec round-trips" `Quick test_spec_round_trip;

@@ -1,8 +1,8 @@
-(* Scheduler parity: the `Heap and `Wheel engines must produce
-   byte-identical executions — same dispatch order, same structured
-   trace, same counters. The wheel draws its tie-break seqs from the
-   queue's shared counter and surfaces entries in (time, seq) order, so
-   any divergence here is a determinism-contract break (DESIGN.md §10). *)
+(* Scheduling parity: how the engine places events — shard count,
+   domain count, partition — must never change the execution. Every
+   placement produces the same dispatch order, the same structured trace
+   and the same counters as the sequential single-queue run; any
+   divergence here is a determinism-contract break (DESIGN.md §14). *)
 
 module Engine = Dsim.Engine
 module Hwclock = Dsim.Hwclock
@@ -15,7 +15,7 @@ let case name f = Alcotest.test_case name `Quick f
    periodic label-0 tick broadcasting to all peers it has heard from, and
    per-source label-(src+1) timeouts re-armed on every receipt — the same
    arm/re-arm/cancel pattern as the gradient algorithm's Lost timers. *)
-let build ~scheduler ~trace =
+let build ~shards ~trace =
   let n = 8 in
   let clocks =
     Array.init n (fun i ->
@@ -26,7 +26,7 @@ let build ~scheduler ~trace =
   let initial_edges = Topology.Static.ring n in
   let engine =
     Engine.create ~clocks ~delay ~discovery_lag:0.4 ~initial_edges ~trace
-      ~timer_label:(fun t -> t) ~scheduler ()
+      ~timer_label:(fun t -> t) ~shards ()
   in
   for i = 0 to n - 1 do
     Engine.install engine i (fun ctx ->
@@ -55,7 +55,7 @@ let build ~scheduler ~trace =
         })
   done;
   (* Churn a few ring edges so cancels, re-discoveries and in-flight
-     drops all happen under both schedulers. *)
+     drops all happen, some of them across shard boundaries. *)
   Engine.schedule_edge_remove engine ~at:11.3 0 1;
   Engine.schedule_edge_add engine ~at:14.8 0 1;
   Engine.schedule_edge_remove engine ~at:20.1 3 4;
@@ -63,65 +63,33 @@ let build ~scheduler ~trace =
   Engine.schedule_edge_add engine ~at:33.9 3 4;
   engine
 
-let run_engine scheduler =
+let run_engine shards =
   let trace = Trace.create ~log_limit:200_000 () in
-  let engine = build ~scheduler ~trace in
+  let engine = build ~shards ~trace in
   Engine.run_until engine 80.;
   (engine, trace)
 
+(* Timer entries ride the per-shard queues with ranks from the global
+   counter, so the arm / re-arm / cancel traffic and its stale-entry
+   bookkeeping must come out the same at any shard count. *)
 let test_engine_parity () =
-  let heap, heap_trace = run_engine `Heap in
-  let wheel, wheel_trace = run_engine (`Wheel 0.0625) in
+  let base, base_trace = run_engine 1 in
+  let sharded, sharded_trace = run_engine 3 in
   Alcotest.(check int)
-    "events processed" (Engine.events_processed heap) (Engine.events_processed wheel);
+    "events processed" (Engine.events_processed base) (Engine.events_processed sharded);
   Alcotest.(check int)
-    "pending events" (Engine.pending_events heap) (Engine.pending_events wheel);
+    "pending events" (Engine.pending_events base) (Engine.pending_events sharded);
   Alcotest.(check int)
-    "live timers" (Engine.live_timers heap) (Engine.live_timers wheel);
+    "live timers" (Engine.live_timers base) (Engine.live_timers sharded);
+  Alcotest.(check bool) "stale entries occurred" true
+    (Trace.count base_trace Trace.Timer_stale > 0);
   Alcotest.(check string)
-    "byte-identical trace" (Trace.to_csv heap_trace) (Trace.to_csv wheel_trace)
-
-(* Clear-and-rerun at the scheduler seam: ranks handed out through
-   [alloc_seq] live on in the wheel across a [Pqueue.clear], so a
-   cleared-and-reused queue must keep counting — a post-clear push at the
-   same instant as a surviving wheel entry has to surface *after* it.
-   (The old clear reset [next_seq] to 0, which let fresh pushes interleave
-   below stale wheel ranks and broke heap/wheel trace parity.) *)
-let test_clear_and_rerun_merge_order () =
-  let q = Dsim.Pqueue.create () in
-  let w = Dsim.Timewheel.create ~granularity:0.25 () in
-  (* Round 1: mixed traffic consumes seqs on both sides of the seam. *)
-  Dsim.Pqueue.push q ~time:1.0 "a";
-  Dsim.Timewheel.arm w ~node:0 ~label:0 ~gen:0 ~seq:(Dsim.Pqueue.alloc_seq q)
-    ~deadline:5.0;
-  Dsim.Pqueue.push q ~time:2.0 "b";
-  Alcotest.(check (option string)) "round 1 pops" (Some "a") (Option.map snd (Dsim.Pqueue.pop q));
-  (* Reset the event queue mid-run; the wheel entry at t=5 survives. *)
-  Dsim.Pqueue.clear q;
-  Alcotest.(check bool) "queue empty after clear" true (Dsim.Pqueue.is_empty q);
-  (* Round 2: a fresh wheel arm, then a queue push, both due at t=5. *)
-  Dsim.Timewheel.arm w ~node:1 ~label:0 ~gen:0 ~seq:(Dsim.Pqueue.alloc_seq q)
-    ~deadline:5.0;
-  Dsim.Pqueue.push q ~time:5.0 "c";
-  Alcotest.(check bool) "wheel has due entries" true (Dsim.Timewheel.peek w ~upto:5.0);
-  (* Merged (time, seq) order: both surviving wheel entries outrank the
-     post-clear push at the tied deadline. *)
-  Alcotest.(check bool) "round-1 wheel entry first"
-    true (Dsim.Timewheel.top_seq w < Dsim.Pqueue.top_seq q);
-  Alcotest.(check int) "round-1 wheel node" 0 (Dsim.Timewheel.top_node w);
-  Dsim.Timewheel.pop w;
-  Alcotest.(check bool) "wheel still due" true (Dsim.Timewheel.peek w ~upto:5.0);
-  Alcotest.(check bool) "round-2 wheel entry still outranks the push"
-    true (Dsim.Timewheel.top_seq w < Dsim.Pqueue.top_seq q);
-  Alcotest.(check int) "round-2 wheel node" 1 (Dsim.Timewheel.top_node w);
-  Dsim.Timewheel.pop w;
-  Alcotest.(check (option string)) "queue event last" (Some "c")
-    (Option.map snd (Dsim.Pqueue.pop q))
+    "byte-identical trace" (Trace.to_csv base_trace) (Trace.to_csv sharded_trace)
 
 (* Full-stack parity: the gradient algorithm on a seeded churned topology,
-   audited trace and all. This is the scenario class the wheel was built
-   for (periodic ΔH ticks plus per-peer ΔT' lost timers at scale). *)
-let run_sim ?(faults = []) ?(shards = 1) scheduler =
+   audited trace and all — periodic ΔH ticks plus per-peer ΔT' lost
+   timers re-armed on every receipt. *)
+let run_sim ?(faults = []) ?(shards = 1) () =
   let n = 24 in
   let horizon = 50. in
   let params = Gcs.Params.make ~n () in
@@ -132,8 +100,8 @@ let run_sim ?(faults = []) ?(shards = 1) scheduler =
   in
   let trace = Trace.create ~log_limit:500_000 () in
   let cfg =
-    Gcs.Sim.config ~scheduler ~shards ~params ~clocks ~delay ~initial_edges:edges
-      ~trace ~faults ~fault_seed:21 ()
+    Gcs.Sim.config ~shards ~params ~clocks ~delay ~initial_edges:edges ~trace
+      ~faults ~fault_seed:21 ()
   in
   let sim = Gcs.Sim.create cfg in
   Topology.Churn.schedule (Gcs.Sim.engine sim)
@@ -142,29 +110,28 @@ let run_sim ?(faults = []) ?(shards = 1) scheduler =
   Gcs.Sim.run_until sim horizon;
   (sim, trace)
 
-let test_sim_parity () =
-  let heap, heap_trace = run_sim Gcs.Sim.Heap in
-  let wheel, wheel_trace = run_sim Gcs.Sim.Wheel in
+(* Same execution, node by node: the counters and every final logical
+   clock agree exactly. *)
+let check_same_run ~tag base sim =
   Alcotest.(check int)
-    "events processed"
-    (Dsim.Engine.events_processed (Gcs.Sim.engine heap))
-    (Dsim.Engine.events_processed (Gcs.Sim.engine wheel));
-  Alcotest.(check int) "messages" (Gcs.Sim.total_messages heap)
-    (Gcs.Sim.total_messages wheel);
-  Alcotest.(check int) "jumps" (Gcs.Sim.total_jumps heap) (Gcs.Sim.total_jumps wheel);
-  for i = 0 to (Gcs.Sim.params heap).Gcs.Params.n - 1 do
+    ("events processed " ^ tag)
+    (Dsim.Engine.events_processed (Gcs.Sim.engine base))
+    (Dsim.Engine.events_processed (Gcs.Sim.engine sim));
+  Alcotest.(check int) ("messages " ^ tag) (Gcs.Sim.total_messages base)
+    (Gcs.Sim.total_messages sim);
+  Alcotest.(check int) ("jumps " ^ tag) (Gcs.Sim.total_jumps base)
+    (Gcs.Sim.total_jumps sim);
+  for i = 0 to (Gcs.Sim.params base).Gcs.Params.n - 1 do
     Alcotest.(check (float 0.))
-      (Printf.sprintf "clock of node %d" i)
-      (Gcs.Sim.logical_clock heap i)
-      (Gcs.Sim.logical_clock wheel i)
-  done;
-  Alcotest.(check string)
-    "byte-identical trace" (Trace.to_csv heap_trace) (Trace.to_csv wheel_trace)
+      (Printf.sprintf "clock of node %d %s" i tag)
+      (Gcs.Sim.logical_clock base i)
+      (Gcs.Sim.logical_clock sim i)
+  done
 
-(* The wheel run's trace must also satisfy the conformance auditor,
-   including the lost-timer cadence rule that reads the new label field. *)
-let test_wheel_trace_audits_clean () =
-  let sim, trace = run_sim Gcs.Sim.Wheel in
+(* The run's trace must also satisfy the conformance auditor, including
+   the lost-timer cadence rule that reads the timer label field. *)
+let test_sim_trace_audits_clean () =
+  let sim, trace = run_sim () in
   let cfg =
     Audit.Conformance.of_params (Gcs.Sim.params sim) ~horizon:50. ()
   in
@@ -173,11 +140,6 @@ let test_wheel_trace_audits_clean () =
     (List.length report.Audit.Report.violations);
   Alcotest.(check bool) "events audited" true (report.Audit.Report.events_audited > 0)
 
-(* Fault parity: the whole fault layer — crash/restart events, dup
-   pushes, Byzantine corruption draws, incarnation drops — is routed
-   through the shared event queue, so it must replay byte-identically
-   under both schedulers, and the fault-aware auditor must accept both
-   traces. *)
 let parity_faults =
   [
     Dsim.Fault.Crash { node = 4; at = 8. };
@@ -189,29 +151,44 @@ let parity_faults =
     Dsim.Fault.Byzantine { node = 17; from_ = 12.; until = 24. };
   ]
 
-let test_sim_parity_faulted () =
-  let heap, heap_trace = run_sim ~faults:parity_faults Gcs.Sim.Heap in
-  let wheel, wheel_trace = run_sim ~faults:parity_faults Gcs.Sim.Wheel in
-  Alcotest.(check int)
-    "events processed"
-    (Dsim.Engine.events_processed (Gcs.Sim.engine heap))
-    (Dsim.Engine.events_processed (Gcs.Sim.engine wheel));
-  for i = 0 to (Gcs.Sim.params heap).Gcs.Params.n - 1 do
-    Alcotest.(check (float 0.))
-      (Printf.sprintf "clock of node %d" i)
-      (Gcs.Sim.logical_clock heap i)
-      (Gcs.Sim.logical_clock wheel i)
-  done;
-  let heap_csv = Trace.to_csv heap_trace in
-  Alcotest.(check string) "byte-identical trace" heap_csv (Trace.to_csv wheel_trace);
+(* Shard parity: partitioning the node ids across per-shard queues moves
+   every cross-shard event through the outbox merge barrier,
+   yet the global sequence counter keeps the merged (time, seq) order —
+   and therefore the trace — byte-identical at every shard count
+   (DESIGN.md §12). n=24 with 7 shards exercises uneven ranges (the last
+   shard owns a wider tail). *)
+let test_shard_parity () =
+  let base, base_trace = run_sim () in
+  let base_csv = Trace.to_csv base_trace in
+  List.iter
+    (fun shards ->
+      let sim, trace = run_sim ~shards () in
+      check_same_run ~tag:(Printf.sprintf "(shards=%d)" shards) base sim;
+      Alcotest.(check string)
+        (Printf.sprintf "byte-identical trace (shards=%d)" shards)
+        base_csv (Trace.to_csv trace))
+    [ 2; 4; 7 ]
+
+(* Fault events cross shard boundaries too: crashes purge remote state
+   (their armed timers' queue entries go stale), duplication re-pushes on
+   the send path, Byzantine windows draw corruptions, restarts
+   re-discover. All of it is routed through the event queues, so it must
+   replay byte-identically under sharding, and the fault-aware auditor
+   must accept both traces. *)
+let test_shard_parity_faulted () =
+  let base, base_trace = run_sim ~faults:parity_faults () in
+  let sharded, sharded_trace = run_sim ~faults:parity_faults ~shards:3 () in
+  check_same_run ~tag:"(faulted, shards=3)" base sharded;
+  Alcotest.(check string) "byte-identical faulted trace (shards=3)"
+    (Trace.to_csv base_trace) (Trace.to_csv sharded_trace);
   Alcotest.(check bool) "fault events present" true
-    (Dsim.Trace.count heap_trace Dsim.Trace.Fault_crash > 0
-    && Dsim.Trace.count heap_trace Dsim.Trace.Fault_duplicate > 0
-    && Dsim.Trace.count heap_trace Dsim.Trace.Fault_byzantine_msg > 0);
+    (Dsim.Trace.count base_trace Dsim.Trace.Fault_crash > 0
+    && Dsim.Trace.count base_trace Dsim.Trace.Fault_duplicate > 0
+    && Dsim.Trace.count base_trace Dsim.Trace.Fault_byzantine_msg > 0);
   List.iter
     (fun (name, trace) ->
       let cfg =
-        Audit.Conformance.of_params (Gcs.Sim.params heap) ~horizon:50.
+        Audit.Conformance.of_params (Gcs.Sim.params base) ~horizon:50.
           ~faults:parity_faults ()
       in
       let report = Audit.Conformance.audit cfg (Trace.entries trace) in
@@ -219,43 +196,7 @@ let test_sim_parity_faulted () =
         (Printf.sprintf "%s faulted trace audits clean" name)
         0
         (List.length report.Audit.Report.violations))
-    [ ("heap", heap_trace); ("wheel", wheel_trace) ]
-
-(* Shard parity: partitioning the node ids across per-shard queues and
-   wheels moves every cross-shard event through the outbox merge barrier,
-   yet the global sequence counter keeps the merged (time, seq) order —
-   and therefore the trace — byte-identical at every shard count
-   (DESIGN.md §12). n=24 with 7 shards exercises uneven ranges (the last
-   shard owns a wider tail). *)
-let test_shard_parity () =
-  let base, base_trace = run_sim ~shards:1 Gcs.Sim.Wheel in
-  let base_csv = Trace.to_csv base_trace in
-  List.iter
-    (fun shards ->
-      let sim, trace = run_sim ~shards Gcs.Sim.Wheel in
-      Alcotest.(check int)
-        (Printf.sprintf "events processed (shards=%d)" shards)
-        (Dsim.Engine.events_processed (Gcs.Sim.engine base))
-        (Dsim.Engine.events_processed (Gcs.Sim.engine sim));
-      Alcotest.(check string)
-        (Printf.sprintf "byte-identical trace (shards=%d)" shards)
-        base_csv (Trace.to_csv trace))
-    [ 2; 4; 7 ];
-  (* And across the scheduler axis at the same time: a sharded wheel run
-     must still match the single-queue heap engine. *)
-  let _, heap_trace = run_sim Gcs.Sim.Heap in
-  let _, sharded_trace = run_sim ~shards:4 Gcs.Sim.Wheel in
-  Alcotest.(check string) "sharded wheel = unsharded heap"
-    (Trace.to_csv heap_trace) (Trace.to_csv sharded_trace)
-
-(* Fault events cross shard boundaries too: crashes purge remote state,
-   duplication re-pushes on the send path, restarts re-discover. All of
-   it must replay byte-identically under sharding. *)
-let test_shard_parity_faulted () =
-  let _, base_trace = run_sim ~faults:parity_faults Gcs.Sim.Wheel in
-  let _, sharded_trace = run_sim ~faults:parity_faults ~shards:3 Gcs.Sim.Wheel in
-  Alcotest.(check string) "byte-identical faulted trace (shards=3)"
-    (Trace.to_csv base_trace) (Trace.to_csv sharded_trace)
+    [ ("shards=1", base_trace); ("shards=3", sharded_trace) ]
 
 (* Parallel-window parity: with a pure delay policy of positive min_lat
    the engine dispatches the shards in conservative windows, handing out
@@ -266,7 +207,7 @@ let test_shard_parity_faulted () =
    keeps control events interleaving with the windows. The contract:
    (shards, jobs) is pure placement — every combination must reproduce
    the sequential trace byte for byte. *)
-let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) scheduler =
+let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) () =
   let n = 24 in
   let horizon = 50. in
   let params = Gcs.Params.make ~n () in
@@ -276,8 +217,8 @@ let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) scheduler =
   let delay = Dsim.Delay.uniform_keyed ~seed:9 ~lo:(0.25 *. bound) ~bound () in
   let trace = Trace.create ~log_limit:500_000 () in
   let cfg =
-    Gcs.Sim.config ~scheduler ~shards ~params ~clocks ~delay ~initial_edges:edges
-      ~trace ~faults ~fault_seed:21 ()
+    Gcs.Sim.config ~shards ~params ~clocks ~delay ~initial_edges:edges ~trace
+      ~faults ~fault_seed:21 ()
   in
   let sim = Gcs.Sim.create cfg in
   Topology.Churn.schedule (Gcs.Sim.engine sim)
@@ -303,18 +244,13 @@ let run_sim_windowed ?(faults = []) ?(shards = 1) ?(jobs = 1) scheduler =
   (sim, trace)
 
 let test_parallel_dispatch_parity () =
-  let base, base_trace = run_sim_windowed ~shards:1 Gcs.Sim.Wheel in
+  let base, base_trace = run_sim_windowed ~shards:1 () in
   let base_csv = Trace.to_csv base_trace in
-  (* The sequential reference must itself match the heap engine — the
-     keyed delay changes nothing about scheduler parity. *)
-  let _, heap_trace = run_sim_windowed ~shards:1 Gcs.Sim.Heap in
-  Alcotest.(check string) "wheel = heap (keyed delay)" base_csv
-    (Trace.to_csv heap_trace);
   List.iter
     (fun shards ->
       List.iter
         (fun jobs ->
-          let sim, trace = run_sim_windowed ~shards ~jobs Gcs.Sim.Wheel in
+          let sim, trace = run_sim_windowed ~shards ~jobs () in
           Alcotest.(check int)
             (Printf.sprintf "events processed (shards=%d jobs=%d)" shards jobs)
             (Dsim.Engine.events_processed (Gcs.Sim.engine base))
@@ -332,7 +268,10 @@ let test_parallel_dispatch_parity () =
    pins two things at once, per topology: every (shards, jobs, partition)
    point still reproduces the sequential trace byte for byte, and the
    adaptive extension actually amortizes — strictly more windows than
-   barriers. The cluster topology scatters community members across the
+   barriers. The window counters must also agree with each other: at
+   most every dispatched event ran inside a window (stale timer entries
+   popped there are not events), and every barrier closed at least one
+   window. The cluster topology scatters community members across the
    id range, which is the worst case for the contiguous split and the
    showcase for the greedy partitioner; both maps must agree on the
    trace. *)
@@ -346,8 +285,8 @@ let run_sim_adaptive ~edges ?(shards = 1) ?(jobs = 1) ?(partition = `Contiguous)
   let delay = Dsim.Delay.uniform_keyed ~seed:9 ~lo:(0.25 *. bound) ~bound () in
   let trace = Trace.create ~log_limit:500_000 () in
   let cfg =
-    Gcs.Sim.config ~scheduler:Gcs.Sim.Wheel ~shards ~partition ~params ~clocks
-      ~delay ~initial_edges:edges ~trace ()
+    Gcs.Sim.config ~shards ~partition ~params ~clocks ~delay
+      ~initial_edges:edges ~trace ()
   in
   let sim = Gcs.Sim.create cfg in
   (if jobs > 1 then begin
@@ -402,7 +341,14 @@ let test_adaptive_window_parity () =
                   Alcotest.(check bool)
                     ("windows amortize barriers " ^ tag)
                     true
-                    (Trace.windows trace > Trace.barriers trace))
+                    (Trace.windows trace > Trace.barriers trace);
+                  let events = Dsim.Engine.events_processed (Gcs.Sim.engine sim) in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "windowed events %d <= events %d %s"
+                       (Trace.window_events trace) events tag)
+                    true
+                    (Trace.window_events trace <= events
+                    && Trace.windows trace >= Trace.barriers trace))
                 [ ("contiguous", `Contiguous); ("greedy", `Greedy) ])
             [ 1; shards ])
         [ 2; 4; 7 ])
@@ -412,10 +358,8 @@ let test_adaptive_window_parity () =
    sharded multi-domain run must then take the sequential path (the
    executor never fires) and still replay the campaign byte-identically. *)
 let test_parallel_dispatch_parity_faulted () =
-  let _, base_trace = run_sim_windowed ~faults:parity_faults Gcs.Sim.Wheel in
-  let _, par_trace =
-    run_sim_windowed ~faults:parity_faults ~shards:4 ~jobs:4 Gcs.Sim.Wheel
-  in
+  let _, base_trace = run_sim_windowed ~faults:parity_faults () in
+  let _, par_trace = run_sim_windowed ~faults:parity_faults ~shards:4 ~jobs:4 () in
   Alcotest.(check string)
     "byte-identical faulted trace (shards=4 jobs=4)"
     (Trace.to_csv base_trace) (Trace.to_csv par_trace)
@@ -424,7 +368,7 @@ let test_parallel_dispatch_parity_faulted () =
    conformance auditor — barrier re-ranking has to keep entries in
    dispatch order, FIFO per link, delays within [0, T]. *)
 let test_parallel_trace_audits_clean () =
-  let sim, trace = run_sim_windowed ~shards:4 ~jobs:4 Gcs.Sim.Wheel in
+  let sim, trace = run_sim_windowed ~shards:4 ~jobs:4 () in
   let cfg = Audit.Conformance.of_params (Gcs.Sim.params sim) ~horizon:50. () in
   let report = Audit.Conformance.audit cfg (Trace.entries trace) in
   Alcotest.(check int) "no violations" 0
@@ -434,7 +378,7 @@ let test_parallel_trace_audits_clean () =
 
 let suite =
   [
-    case "engine: heap = wheel (timer-heavy protocol)" test_engine_parity;
+    case "engine: timer-heavy protocol, sharded = unsharded" test_engine_parity;
     case "sim: sharded = unsharded, byte-identical" test_shard_parity;
     case "sim: sharded fault campaign, byte-identical" test_shard_parity_faulted;
     case "sim: parallel windows, shards x jobs grid, byte-identical"
@@ -444,9 +388,5 @@ let suite =
     case "sim: faulted campaign falls back sequential under jobs=4"
       test_parallel_dispatch_parity_faulted;
     case "parallel trace passes conformance audit" test_parallel_trace_audits_clean;
-    case "pqueue clear-and-rerun keeps the seam's total order"
-      test_clear_and_rerun_merge_order;
-    case "sim: heap = wheel (seeded churn)" test_sim_parity;
-    case "sim: heap = wheel under a fault campaign" test_sim_parity_faulted;
-    case "wheel trace passes conformance audit" test_wheel_trace_audits_clean;
+    case "sim trace passes conformance audit" test_sim_trace_audits_clean;
   ]

@@ -1,15 +1,14 @@
 (* Regression pins for the large-n scaling work: the per-event allocation
    budget of the hot path, and the structural guarantee that timer
-   traffic no longer accumulates in the event heap. *)
+   re-arm traffic cannot accumulate in the event queue. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
-let build_sim ?(n = 64) ?(scheduler = Gcs.Sim.Wheel) ~horizon () =
+let build_sim ?(n = 64) ?(edges = Topology.Static.path n) ?trace ~horizon () =
   let params = Gcs.Params.make ~n () in
-  let edges = Topology.Static.path n in
   let clocks = Gcs.Drift.assign params ~horizon ~seed:1 Gcs.Drift.Split_extremes in
   let delay = Dsim.Delay.maximal ~bound:params.Gcs.Params.delay_bound in
-  let cfg = Gcs.Sim.config ~scheduler ~params ~clocks ~delay ~initial_edges:edges () in
+  let cfg = Gcs.Sim.config ?trace ~params ~clocks ~delay ~initial_edges:edges () in
   Gcs.Sim.create cfg
 
 (* Minor-heap budget: with tracing off (counters only, the default), the
@@ -56,12 +55,10 @@ let test_ns_per_event_ceiling () =
     Alcotest.failf "ns/event %.0f exceeds ceiling 50000 at n=%d (%d events)"
       ns n events
 
-(* Under the wheel scheduler the heap holds only deliveries, discoveries
-   and callbacks, so sustained timer re-arm traffic must leave its depth
-   flat: the stale Lost entries that used to pile up between a receipt
-   and the old entry's distant deadline never enter it. Armed labels are
-   bounded by live protocol state (one Tick plus at most one Lost per
-   gamma peer per node), and pending_events by heap depth + live timers. *)
+(* Sustained traffic on a static path: armed labels are bounded by live
+   protocol state (one Tick plus at most one Lost per gamma peer per
+   node), the queue depth is flat over time, and pending_events by queue
+   depth + live timers. *)
 let test_bounded_timer_state () =
   let n = 32 in
   let sim = build_sim ~n ~horizon:200. () in
@@ -99,35 +96,80 @@ let test_bounded_timer_state () =
     true
     (!max_pending <= !max_depth_early + !max_live)
 
-(* The same execution under the heap scheduler used to keep every
-   superseded Lost entry queued until its deadline passed; the wheel keeps
-   them out of the heap entirely. Pin the structural win: wheel heap
-   depth is a small fraction of the heap scheduler's. *)
-let test_wheel_relieves_heap () =
-  let horizon = 80. in
-  let depth scheduler =
-    let sim = build_sim ~n:32 ~scheduler ~horizon () in
-    let engine = Gcs.Sim.engine sim in
-    let peak = ref 0 in
-    for i = 1 to 16 do
-      Dsim.Engine.at engine ~time:(4.8 *. float_of_int i) (fun () ->
-          peak := max !peak (Dsim.Engine.queue_depth engine))
-    done;
-    Gcs.Sim.run_until sim horizon;
-    !peak
+(* Timers share the event queue, so a re-arm leaves the superseded entry
+   queued until its old deadline. That cannot pile up: an entry lives at
+   most ΔT'/(1-ρ) real time (the Lost timeout on the slowest clock), and
+   a label is re-armed once per receipt from its peer, whose sends are at
+   least ΔH/(1+ρ) apart (one per tick) plus one at discovery; with
+   delays in [0, T] the receipts inside one entry lifetime come from the
+   sends of a span T longer. So one label holds at most
+     c = ⌈(ΔT'/(1-ρ) + T) (1+ρ)/ΔH⌉ + 2
+   queue entries, and the whole queue — timer entries, messages in
+   flight and the discoveries their edge changes cause — is bounded by
+   c·(live timers + in-flight messages), plus the events the harness
+   itself keeps queued (pending churn and the next probe). Checked on a
+   ring under steady random churn, where edge removals also retire
+   labels with entries still queued. *)
+let test_queue_depth_bounded_under_rearm () =
+  let n = 32 in
+  let horizon = 200. in
+  let edges = Topology.Static.ring n in
+  let trace = Dsim.Trace.create () in
+  let sim = build_sim ~n ~edges ~trace ~horizon () in
+  let p = Gcs.Sim.params sim in
+  let rho = p.Gcs.Params.rho in
+  let c =
+    int_of_float
+      (Float.ceil
+         ((Gcs.Params.delta_t' p /. (1. -. rho) +. p.Gcs.Params.delay_bound)
+         *. (1. +. rho) /. p.Gcs.Params.delta_h))
+    + 2
   in
-  let heap_peak = depth Gcs.Sim.Heap in
-  let wheel_peak = depth Gcs.Sim.Wheel in
+  let engine = Gcs.Sim.engine sim in
+  let churn =
+    Topology.Churn.random_churn (Dsim.Prng.of_int 5) ~n ~base:edges ~rate:2.
+      ~horizon
+  in
+  Topology.Churn.schedule engine churn;
+  let count k = Dsim.Trace.count trace k in
+  let worst = ref 0. in
+  let probes = ref 0 in
+  let rec probe time () =
+    let now = Dsim.Engine.now engine in
+    let in_flight =
+      count Dsim.Trace.Send - count Dsim.Trace.Deliver
+      - count Dsim.Trace.Drop_in_flight - count Dsim.Trace.Drop_no_edge
+      - count Dsim.Trace.Drop_lossy
+    in
+    let harness =
+      1 + List.length (List.filter (fun e -> e.Topology.Churn.time > now) churn)
+    in
+    let depth = Dsim.Engine.queue_depth engine - harness in
+    let bound = c * (Dsim.Engine.live_timers engine + in_flight) in
+    worst := Float.max !worst (float_of_int depth /. float_of_int bound);
+    incr probes;
+    if time +. 2.5 < horizon then
+      Dsim.Engine.at engine ~time:(time +. 2.5) (probe (time +. 2.5))
+  in
+  Dsim.Engine.at engine ~time:2.5 (probe 2.5);
+  Gcs.Sim.run_until sim horizon;
   Alcotest.(check bool)
-    (Printf.sprintf "wheel heap depth %d < half of heap scheduler's %d"
-       wheel_peak heap_peak)
+    (Printf.sprintf "churn removed %d edges" (count Dsim.Trace.Edge_remove))
     true
-    (2 * wheel_peak < heap_peak)
+    (count Dsim.Trace.Edge_remove > 10);
+  Alcotest.(check bool) "stale entries occurred" true
+    (count Dsim.Trace.Timer_stale > count Dsim.Trace.Timer_fire);
+  Alcotest.(check bool) "probed throughout" true (!probes >= 79);
+  Alcotest.(check bool)
+    (Printf.sprintf "queue depth <= %d * (live timers + in flight): worst ratio %.3f"
+       c !worst)
+    true (!worst <= 1.)
 
 let suite =
   [
     case "minor words/event within budget (n=64, trace off)" test_minor_words_budget;
     case "ns/event under quadratic-regression ceiling" test_ns_per_event_ceiling;
     case "timer state bounded under sustained traffic" test_bounded_timer_state;
-    case "wheel keeps timers out of the event heap" test_wheel_relieves_heap;
+    case "queue depth bounded by c * (live timers + in flight) under churn"
+      test_queue_depth_bounded_under_rearm;
   ]
